@@ -65,6 +65,28 @@ class SecureChannelBase:
         self._sequence += 1
         return seq
 
+    # -- channel interface -------------------------------------------------------
+
+    def send(self, plaintext: bytes) -> Transmission:
+        raise NotImplementedError
+
+    def receive(self, transmission: Transmission) -> bytes:
+        raise NotImplementedError
+
+    def send_many(self, plaintexts: list[bytes]) -> list[Transmission]:
+        """Send a batch of messages, in order.
+
+        The result equals sending each message alone, one after another:
+        same sequence numbers, same wire bytes, same channel state after.
+        Channels with a cheaper batch path (the TLS-like channel's single
+        cipher pass) override this loop.
+        """
+        return [self.send(plaintext) for plaintext in plaintexts]
+
+    def receive_many(self, transmissions: list[Transmission]) -> list[bytes]:
+        """Receive a batch of transmissions; equal to receiving each alone."""
+        return [self.receive(transmission) for transmission in transmissions]
+
     # -- adversary interface -----------------------------------------------------
 
     def is_breakable_at(self, timeline: BreakTimeline, epoch: int) -> bool:

@@ -43,9 +43,16 @@ def hkdf(
     info: bytes = b"",
 ) -> bytes:
     """One-shot HKDF: extract then expand."""
+    return hkdf_derive(hkdf_extract(salt, input_key_material), length, info)
+
+
+def hkdf_derive(pseudo_random_key: bytes, length: int, info: bytes = b"") -> bytes:
+    """HKDF from an already-extracted PRK: the expand half of :func:`hkdf`,
+    counted as one derived key.  Callers that derive many keys from one
+    secret extract once and derive each key with this."""
     _metrics.inc("crypto_kdf_calls_total", kdf="hkdf")
     _metrics.inc("crypto_kdf_bytes_total", length, kdf="hkdf")
-    return hkdf_expand(hkdf_extract(salt, input_key_material), info, length)
+    return hkdf_expand(pseudo_random_key, info, length)
 
 
 def derive_subkey(master: bytes, purpose: str, length: int = 32) -> bytes:

@@ -105,35 +105,44 @@ class ArchivalSystem(abc.ABC):
     def transit_security(self) -> SecurityNotion:
         return self.transit.notion
 
-    def _send_share(self, node: StorageNode, object_id: str, index: int, payload: bytes) -> None:
-        """Ship one share over the transit channel and store it."""
-        transmission = self.transit.send(payload)
-        self.transcript.append(
-            TranscriptEntry(
-                node_id=node.node_id, object_id=object_id, transmission=transmission
-            )
-        )
-        delivered = self.transit.receive(transmission)
-        self.placement_policy.put_with_retry(
-            node, f"{object_id}/share-{index}", delivered, epoch=self.epoch
-        )
-
     def _store_shares(
         self, object_id: str, payload_by_index: dict[int, bytes]
     ) -> Placement:
+        """Place one object's shares, ship them over transit, and put them.
+
+        All shares of the placement cross the transit channel as one batch
+        (one ``send_many``, one ``receive_many``), and every transmission
+        lands in the transcript, before the first put.  The puts then run in
+        placement order.  If one fails, the shares this call already put are
+        deleted from the nodes still reachable before the error propagates,
+        so a failed store leaves no share without a receipt.
+        """
         tier_layout = None
         if self.tiering is not None:
             tier_layout = self.tiering.layout_for(object_id, sorted(payload_by_index))
         placement = self.placement_policy.place(
             object_id, sorted(payload_by_index), tier_layout=tier_layout
         )
-        for index, node_id in placement.node_by_share.items():
-            self._send_share(
-                self.placement_policy.node(node_id),
-                object_id,
-                index,
-                payload_by_index[index],
-            )
+        order = list(placement.node_by_share.items())
+        transmissions = self.transit.send_many([payload_by_index[i] for i, _ in order])
+        self.transcript.extend(
+            TranscriptEntry(node_id=node_id, object_id=object_id, transmission=t)
+            for (_, node_id), t in zip(order, transmissions)
+        )
+        delivered = self.transit.receive_many(transmissions)
+        put: dict[int, str] = {}
+        try:
+            for (index, node_id), payload in zip(order, delivered):
+                self.placement_policy.put_with_retry(
+                    self.placement_policy.node(node_id),
+                    f"{object_id}/share-{index}",
+                    payload,
+                    epoch=self.epoch,
+                )
+                put[index] = node_id
+        finally:
+            if len(put) < len(order):
+                self.placement_policy.delete(Placement(object_id, put))
         return placement
 
     def _fetch_shares(

@@ -19,6 +19,7 @@ The three pillars, all implemented:
 
 from __future__ import annotations
 
+from repro.channels.base import Transmission
 from repro.channels.qkd import QkdLink
 from repro.crypto.commitments import PedersenCommitment
 from repro.crypto.registry import BreakTimeline
@@ -31,6 +32,22 @@ from repro.integrity.timestamp import (
 from repro.secretsharing.base import Share
 from repro.secretsharing.shamir import ShamirSecretSharing
 from repro.systems.base import ArchivalSystem, StoreReceipt
+
+
+class _OnDemandQkdLink(QkdLink):
+    """QKD pads are consumable: each send first runs the link for exactly
+    the key it needs, and accounts for the wall-clock that takes."""
+
+    def __init__(self, rng, key_rate_bytes_per_s: float):
+        super().__init__(rng, key_rate_bytes_per_s=key_rate_bytes_per_s)
+        self.key_generation_seconds = 0.0
+
+    def send(self, plaintext: bytes) -> Transmission:
+        needed = self.seconds_needed_for(len(plaintext))
+        if needed > 0:
+            self.advance_time(needed)
+            self.key_generation_seconds += needed
+        return super().send(plaintext)
 
 
 class Lincos(ArchivalSystem):
@@ -48,19 +65,14 @@ class Lincos(ArchivalSystem):
         self.commitments = PedersenCommitment()
         self.chain = TimestampChain()
         self.authority = TimestampAuthority(MerkleChainSigner(rng, height=6))
-        self.key_generation_seconds = 0.0
 
     def _make_transit_channel(self):
-        return QkdLink(self.rng, key_rate_bytes_per_s=self.qkd_key_rate)
+        return _OnDemandQkdLink(self.rng, key_rate_bytes_per_s=self.qkd_key_rate)
 
-    def _send_share(self, node, object_id, index, payload):
-        # QKD pads are consumable: generate exactly what this send needs and
-        # account for the wall-clock the link spends doing it.
-        needed = self.transit.seconds_needed_for(len(payload))
-        if needed > 0:
-            self.transit.advance_time(needed)
-            self.key_generation_seconds += needed
-        super()._send_share(node, object_id, index, payload)
+    @property
+    def key_generation_seconds(self) -> float:
+        """Wall-clock the QKD link spent generating pad for this system's sends."""
+        return self.transit.key_generation_seconds
 
     def store(self, object_id: str, data: bytes) -> StoreReceipt:
         split = self.scheme.split(data, self.rng)

@@ -6,8 +6,10 @@ from repro.channels.bsm import BoundedStorageChannel, BsmAdversary
 from repro.channels.qkd import QkdLink
 from repro.channels.tls import TlsLikeChannel
 from repro.crypto.drbg import DeterministicRandom
+from repro.crypto.kdf import hkdf
 from repro.crypto.registry import BreakTimeline
 from repro.errors import ChannelError, ParameterError
+from repro.obs import use_registry
 from repro.security import SecurityNotion
 
 
@@ -69,6 +71,61 @@ class TestTlsLike:
             a.receive(t)
 
 
+class TestTlsLikeBatch:
+    MESSAGES = [b"share-1" * 300, b"", b"x", b"share-4" * 9000]
+
+    def test_send_many_equals_sequential_sends(self):
+        batched = TlsLikeChannel(DeterministicRandom(11))
+        single = TlsLikeChannel(DeterministicRandom(11))
+        batch = batched.send_many(self.MESSAGES)
+        one_by_one = [single.send(message) for message in self.MESSAGES]
+        assert [(t.sequence, t.wire) for t in batch] == [
+            (t.sequence, t.wire) for t in one_by_one
+        ]
+        assert batched.bytes_sent == single.bytes_sent == sum(map(len, self.MESSAGES))
+        # Sequence numbers continue after a batch exactly as after sends.
+        assert batched.send(b"next").wire == single.send(b"next").wire
+
+    def test_receive_many_roundtrip(self):
+        channel = TlsLikeChannel(DeterministicRandom(12))
+        transmissions = channel.send_many(self.MESSAGES)
+        assert channel.receive_many(transmissions) == self.MESSAGES
+        assert channel.receive_many(list(reversed(transmissions))) == list(
+            reversed(self.MESSAGES)
+        )
+
+    def test_receive_many_rejects_foreign_transmission(self):
+        channel = TlsLikeChannel(DeterministicRandom(13))
+        qkd = QkdLink(DeterministicRandom(14))
+        qkd.advance_time(1)
+        batch = channel.send_many([b"a", b"b"]) + [qkd.send(b"hi")]
+        with pytest.raises(ChannelError):
+            channel.receive_many(batch)
+
+    def test_message_keys_equal_full_hkdf_of_session_secret(self):
+        """Extract-once derivation yields the keys a full HKDF would."""
+        channel = TlsLikeChannel(DeterministicRandom(15))
+        for sequence in (0, 1, 17, 1000):
+            assert channel._message_key(sequence) == hkdf(
+                channel._session_secret, 32, info=f"msg-{sequence}".encode()
+            )
+
+    def test_kdf_counts_one_call_per_message_key(self):
+        channel = TlsLikeChannel(DeterministicRandom(16))
+        with use_registry() as registry:
+            channel.receive_many(channel.send_many(self.MESSAGES))
+            counters = registry.snapshot()["counters"]
+        assert counters["crypto_kdf_calls_total{kdf=hkdf}"] == 2 * len(self.MESSAGES)
+        assert counters["crypto_kdf_bytes_total{kdf=hkdf}"] == 2 * 32 * len(self.MESSAGES)
+
+    def test_batch_transmissions_break_open_individually(self, timeline):
+        channel = TlsLikeChannel(DeterministicRandom(17))
+        transmissions = channel.send_many(self.MESSAGES)
+        assert [channel.break_open(t, timeline, epoch=25) for t in transmissions] == (
+            self.MESSAGES
+        )
+
+
 class TestQkd:
     def test_pad_generation_and_send(self):
         link = QkdLink(DeterministicRandom(0), key_rate_bytes_per_s=100)
@@ -112,6 +169,17 @@ class TestQkd:
 
     def test_classification(self):
         assert QkdLink(DeterministicRandom(6)).notion is SecurityNotion.INFORMATION_THEORETIC
+
+    def test_send_many_is_a_loop_of_sends(self):
+        batched = QkdLink(DeterministicRandom(10), key_rate_bytes_per_s=100)
+        single = QkdLink(DeterministicRandom(10), key_rate_bytes_per_s=100)
+        batched.advance_time(1.0)
+        single.advance_time(1.0)
+        messages = [b"a" * 30, b"b" * 50]
+        batch = batched.send_many(messages)
+        assert [t.wire for t in batch] == [single.send(m).wire for m in messages]
+        assert batched.receive_many(batch) == messages
+        assert batched.pad_available == single.pad_available == 20
 
     def test_parameters_validated(self):
         with pytest.raises(ParameterError):

@@ -10,11 +10,18 @@ from repro.crypto.aes import (
     aes_decrypt_block,
     aes_encrypt_block,
 )
-from repro.crypto.chacha20 import ChaCha20Cipher, chacha20_keystream, chacha20_xor
+from repro.crypto.chacha20 import (
+    ChaCha20Cipher,
+    chacha20_keystream,
+    chacha20_keystream_many,
+    chacha20_xor,
+    chacha20_xor_many,
+)
 from repro.crypto.drbg import DeterministicRandom
 from repro.crypto.feistel import LegacyFeistelCipher
 from repro.crypto.otp import OneTimePad, PadKey, otp_xor
 from repro.errors import KeyManagementError, ParameterError
+from repro.obs import use_registry
 
 
 class TestAesBlock:
@@ -132,6 +139,79 @@ class TestChaCha20:
         cipher = ChaCha20Cipher()
         key, nonce = b"\x00" * 32, b"\x00" * 12
         assert cipher.decrypt(key, nonce, cipher.encrypt(key, nonce, b"hi")) == b"hi"
+
+
+def _chacha20_counters(registry) -> dict:
+    counters = registry.snapshot()["counters"]
+    return {
+        name: value
+        for name, value in counters.items()
+        if name.endswith("{cipher=chacha20}")
+    }
+
+
+class TestChaCha20Batch:
+    """All-or-nothing validation and per-message accounting of batches."""
+
+    GOOD = (b"\x01" * 32, b"\x02" * 12, 100, 0)
+
+    def test_batch_equals_single_calls(self):
+        specs = [
+            (b"\x01" * 32, b"\x02" * 12, 100, 0),
+            (b"\x03" * 32, b"\x04" * 12, 0, 5),
+            (b"\x05" * 32, b"\x06" * 12, 64, 9),
+            (b"\x01" * 32, b"\x02" * 12, 129, 1),
+        ]
+        assert chacha20_keystream_many(specs) == [chacha20_keystream(*s) for s in specs]
+        messages = [(k, n, bytes(range(length)), c) for k, n, length, c in specs]
+        assert chacha20_xor_many(messages) == [chacha20_xor(*m) for m in messages]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            (b"short", b"\x00" * 12, 10, 0),
+            (b"\x00" * 32, b"\x00" * 8, 10, 0),
+            (b"\x00" * 32, b"\x00" * 12, 65, (1 << 32) - 1),
+            (b"\x00" * 32, b"\x00" * 12, 10, -1),
+        ],
+        ids=["key", "nonce", "counter-overflow", "negative-counter"],
+    )
+    def test_one_bad_spec_rejects_the_batch_before_counting(self, bad):
+        with use_registry() as registry:
+            with pytest.raises(ParameterError):
+                chacha20_keystream_many([self.GOOD, bad, self.GOOD])
+            key, nonce, length, counter = bad
+            with pytest.raises(ParameterError):
+                chacha20_xor_many(
+                    [(b"\x01" * 32, b"\x02" * 12, b"x" * 50), (key, nonce, b"y" * length, counter)]
+                )
+            assert _chacha20_counters(registry) == {}
+
+    def test_counter_may_end_exactly_at_the_limit(self):
+        key, nonce = b"\x07" * 32, b"\x08" * 12
+        assert len(chacha20_keystream(key, nonce, 128, counter=(1 << 32) - 2)) == 128
+
+    def test_counts_one_call_per_non_empty_message(self):
+        with use_registry() as registry:
+            streams = chacha20_keystream_many(
+                [
+                    self.GOOD,
+                    (b"\x01" * 32, b"\x02" * 12, 0, 0),
+                    (b"\x09" * 32, b"\x02" * 12, 30, 2),
+                ]
+            )
+            assert [len(s) for s in streams] == [100, 0, 30]
+            assert _chacha20_counters(registry) == {
+                "crypto_cipher_calls_total{cipher=chacha20}": 2,
+                "crypto_cipher_bytes_total{cipher=chacha20}": 130,
+            }
+
+    def test_empty_messages_count_nothing(self):
+        with use_registry() as registry:
+            assert chacha20_keystream_many([(b"\x01" * 32, b"\x02" * 12, 0, 0)]) == [b""]
+            assert chacha20_xor_many([(b"\x01" * 32, b"\x02" * 12, b"")]) == [b""]
+            assert chacha20_xor_many([]) == []
+            assert _chacha20_counters(registry) == {}
 
 
 class TestLegacyFeistel:

@@ -113,6 +113,14 @@ class TestLincos:
         system.store("doc", data)
         assert system.key_generation_seconds > 0
 
+    def test_each_share_send_generates_exactly_its_pad(self, data):
+        system = Lincos(make_node_fleet(5), DeterministicRandom(2), qkd_key_rate=100.0)
+        system.store("doc", data)
+        sent = system.transit.bytes_sent
+        assert sent == sum(len(entry.transmission.wire) for entry in system.transcript)
+        assert system.transit.pad_available == 0
+        assert system.key_generation_seconds == pytest.approx(sent / 100.0)
+
     def test_chain_grows_per_object(self, data):
         system = self.make()
         system.store("a", data)
